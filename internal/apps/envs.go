@@ -31,6 +31,9 @@ type EnvSpec struct {
 }
 
 // StudyEnvironments returns the full matrix in the paper's Table 1 order.
+// Each call rebuilds the matrix from scratch (instance catalog, network
+// models, every row), so it is not for per-record loops: resolve once and
+// index the result.
 func StudyEnvironments() ([]EnvSpec, error) {
 	cat := cloud.NewCatalog()
 	nets := network.Models()
@@ -151,7 +154,9 @@ func SelectEnvironments(patterns []string) ([]EnvSpec, error) {
 	return out, nil
 }
 
-// EnvByKey returns one environment from the matrix.
+// EnvByKey returns one environment from the matrix. Each call rebuilds
+// the whole matrix (see StudyEnvironments), so it is not for per-record
+// loops: index a resolved []EnvSpec by key instead.
 func EnvByKey(key string) (EnvSpec, error) {
 	envs, err := StudyEnvironments()
 	if err != nil {

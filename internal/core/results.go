@@ -10,16 +10,6 @@ import (
 	"cloudhpc/internal/usability"
 )
 
-// envLabel returns the display label of an environment key.
-func (r *Results) envLabel(key string) string {
-	for _, e := range r.Envs {
-		if e.Key == key {
-			return e.Label
-		}
-	}
-	return key
-}
-
 // FigureFor aggregates the runs of one application on one accelerator
 // class into a figure: one series per environment, x = nodes (CPU) or
 // total GPUs (GPU — so cluster B's 4-GPU nodes align with cloud's 8-GPU
@@ -43,13 +33,20 @@ func (r *Results) FigureFor(app string, acc cloud.Accelerator) (*metrics.Figure,
 		env string
 		x   float64
 	}
+	// Index the dataset's matrix rows once. A run reads only its row's
+	// accelerator and unit geometry, which no scale override changes, and
+	// a run whose environment is not in r.Envs never reaches the output.
+	envs := make(map[string]*apps.EnvSpec, len(r.Envs))
+	for i := range r.Envs {
+		envs[r.Envs[i].Key] = &r.Envs[i]
+	}
 	samples := make(map[cell][]float64)
 	for _, rec := range r.Runs {
 		if rec.App != app || rec.Err != nil {
 			continue
 		}
-		spec, err := apps.EnvByKey(rec.EnvKey)
-		if err != nil || spec.Acc != acc {
+		spec, ok := envs[rec.EnvKey]
+		if !ok || spec.Acc != acc {
 			continue
 		}
 		x := float64(rec.Nodes)

@@ -152,10 +152,10 @@ func PlanUnitForBench(seed uint64, spec apps.EnvSpec, m apps.Model, iterations i
 type unitSource int
 
 const (
-	unitFilled   unitSource = iota // already planned (dispatched earlier)
-	unitFromStore                  // decoded from the persistent store
-	unitRemote                     // computed by a fleet worker, then decoded
-	unitComputed                   // computed on the calling worker
+	unitFilled    unitSource = iota // already planned (dispatched earlier)
+	unitFromStore                   // decoded from the persistent store
+	unitRemote                      // computed by a fleet worker, then decoded
+	unitComputed                    // computed on the calling worker
 )
 
 // ensureUnit makes one (env, app) unit's planned draws available, in

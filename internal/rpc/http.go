@@ -37,6 +37,12 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
+		// Replies stream while the body is still being read. Without full
+		// duplex an HTTP/1.x server discards the unread rest of the body
+		// at the first flush, truncating multi-line POSTs (chunked
+		// store.put uploads, unit pushes). The error only reports a writer
+		// that has no such mode; HTTP/2 is always full duplex.
+		_ = http.NewResponseController(w).EnableFullDuplex()
 		c := s.newConn(w, true)
 		c.streamTail = true
 		c.serve(r.Context(), r.Body)

@@ -13,6 +13,7 @@ package usability
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -73,25 +74,33 @@ func (s *Scorer) Score(log *trace.Log, env string) Assessment {
 		Scores:   make(map[trace.Category]Effort, len(Categories)),
 		Evidence: make(map[trace.Category][]trace.Event),
 	}
-	for _, cat := range Categories {
-		var unexpected, blocking int
-		for _, e := range log.ByEnv(env) {
-			if e.Category != cat {
-				continue
-			}
-			switch e.Severity {
-			case trace.Unexpected:
-				unexpected++
-				a.Evidence[cat] = append(a.Evidence[cat], e)
-			case trace.Blocking:
-				blocking++
-				a.Evidence[cat] = append(a.Evidence[cat], e)
-			}
+	// One pass over the log: tally each assessed category's unexpected
+	// and blocking events, collecting them as evidence in log order.
+	counts := make([]struct{ unexpected, blocking int }, len(Categories))
+	log.All(func(e trace.Event) bool {
+		if e.Env != env {
+			return true
 		}
-		switch {
-		case blocking > 0 || unexpected >= s.UnexpectedHighThreshold:
+		i := slices.Index(Categories, e.Category)
+		if i < 0 {
+			return true
+		}
+		switch e.Severity {
+		case trace.Unexpected:
+			counts[i].unexpected++
+		case trace.Blocking:
+			counts[i].blocking++
+		default:
+			return true
+		}
+		a.Evidence[e.Category] = append(a.Evidence[e.Category], e)
+		return true
+	})
+	for i, cat := range Categories {
+		switch c := counts[i]; {
+		case c.blocking > 0 || c.unexpected >= s.UnexpectedHighThreshold:
 			a.Scores[cat] = High
-		case unexpected > 0:
+		case c.unexpected > 0:
 			a.Scores[cat] = Medium
 		default:
 			a.Scores[cat] = Low
