@@ -21,7 +21,6 @@ import (
 	"cloudhpc/internal/apps"
 	"cloudhpc/internal/cloud"
 	"cloudhpc/internal/core"
-	"cloudhpc/internal/fleet"
 	"cloudhpc/internal/network"
 	"cloudhpc/internal/sim"
 	"cloudhpc/internal/trace"
@@ -653,41 +652,6 @@ func benchRunnerStudy(b *testing.B, subscribe bool) {
 			b.ReportMetric(float64(drain()), "events")
 		}
 		b.ReportMetric(float64(len(res.Runs)), "runs")
-	}
-	reportPeakRSS(b)
-}
-
-// BenchmarkFleetLocalFallback is BenchmarkRunnerStudyCold's workload
-// with a fleet coordinator attached but no workers registered: every
-// unit's offload takes the zero-live-workers fast path and computes
-// locally. The acceptance bar is parity within noise (≤2%) of the
-// runner-cold number — an attached-but-empty fleet must cost one mutex
-// acquisition per unit, nothing more. scripts/bench_baseline.sh turns
-// the pair into BENCH_fleet.json.
-func BenchmarkFleetLocalFallback(b *testing.B) {
-	defer core.SetDefaultResultStore(nil)
-	defer core.FlushCachedRuns()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		rs, err := core.OpenResultStore(filepath.Join(b.TempDir(), fmt.Sprintf("store-%d", i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rs.Logf = nil
-		core.FlushCachedRuns()
-		co := fleet.New(fleet.Options{}, rs)
-		r := &core.Runner{Store: rs, Fleet: co}
-		b.StartTimer()
-		res, err := r.Run(context.Background(), core.DefaultSpec(2025))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		s := co.Stats()
-		co.Close()
-		b.StartTimer()
-		b.ReportMetric(float64(len(res.Runs)), "runs")
-		b.ReportMetric(float64(s.Fallbacks), "fallbacks")
 	}
 	reportPeakRSS(b)
 }

@@ -88,7 +88,7 @@ func Progress(w io.Writer, sess *core.Session) func() {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		incidents, unitsCached, unitsRemote, leasesLost := 0, 0, 0, 0
+		incidents, unitsCached := 0, 0
 		for ev := range ch {
 			switch ev.Kind {
 			case core.EventStudyStarted:
@@ -114,10 +114,6 @@ func Progress(w io.Writer, sess *core.Session) func() {
 				fmt.Fprintf(w, "  env %-26s FAILED: %v\n", ev.Env, ev.Err)
 			case core.EventUnitCached:
 				unitsCached++
-			case core.EventUnitRemote:
-				unitsRemote++
-			case core.EventUnitLeaseExpired:
-				leasesLost++
 			case core.EventIncident:
 				incidents++
 			case core.EventStudyFinished:
@@ -127,12 +123,6 @@ func Progress(w io.Writer, sess *core.Session) func() {
 				fmt.Fprintf(w, "study: complete — %d/%d work units", ev.Done, ev.Total)
 				if unitsCached > 0 {
 					fmt.Fprintf(w, ", %d units served from the store", unitsCached)
-				}
-				if unitsRemote > 0 {
-					fmt.Fprintf(w, ", %d units computed by fleet workers", unitsRemote)
-				}
-				if leasesLost > 0 {
-					fmt.Fprintf(w, ", %d leases expired and re-queued", leasesLost)
 				}
 				if incidents > 0 {
 					fmt.Fprintf(w, ", %d injected incidents", incidents)

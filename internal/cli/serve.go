@@ -171,7 +171,7 @@ func ServeSync(ctx context.Context, url, dir string, logf func(format string, ar
 
 // ServeShutdown asks a running daemon to drain and exit, returning once
 // the drain has completed. The daemon's post-drain health snapshot —
-// its closing session and fleet tallies — is printed to out as JSON.
+// its closing session and store tallies — is printed to out as JSON.
 func ServeShutdown(ctx context.Context, url string, out io.Writer) error {
 	res, err := (&rpc.Client{URL: url}).Shutdown(ctx)
 	if err != nil {
@@ -185,16 +185,6 @@ func ServeShutdown(ctx context.Context, url string, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// ServeWorker is cmd/serve's -worker mode: a remote unit worker that
-// registers with a coordinating daemon and loops claim → compute → push
-// until interrupted. SIGTERM and SIGINT drain: the in-flight unit (if
-// any) finishes and is delivered before the process exits 0.
-func ServeWorker(url string, info rpc.Implementation, logf func(format string, args ...any)) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	return rpc.RunWorker(ctx, &rpc.Client{URL: url}, info, logf)
 }
 
 // IsInterruptOrClosed extends IsInterrupt for client streams cut by a

@@ -43,16 +43,6 @@ const (
 	EventUnitFinished EventKind = "unit-finished"
 	EventUnitCached   EventKind = "unit-cached"
 
-	// The fleet lifecycle of an offloaded unit. EventUnitLeased marks a
-	// remote worker claiming the unit's lease; EventUnitLeaseExpired a
-	// lease that lapsed (the unit re-queues or falls back to local
-	// compute); EventUnitRemote replaces EventUnitFinished when the
-	// unit's artifact was computed and pushed by a remote worker — the
-	// session stream shows where every unit ran.
-	EventUnitLeased       EventKind = "unit-leased"
-	EventUnitLeaseExpired EventKind = "unit-lease-expired"
-	EventUnitRemote       EventKind = "unit-remote-completed"
-
 	// EventIncident surfaces one injected chaos fault, emitted after its
 	// environment finishes (incident timestamps are shard-local here; the
 	// merged campaign timeline lands in Results.Incidents).

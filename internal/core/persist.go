@@ -115,13 +115,14 @@ func runErr(msg string) error {
 }
 
 // StoreStats is a snapshot of a result store's hit/miss accounting — the
-// compute-count probe the incremental-execution tests assert against.
+// compute-count probe the incremental-execution tests assert against,
+// and the store section of the daemon's /healthz report.
 type StoreStats struct {
-	StudyHits        int64 // whole-study warm loads served
-	StudyMisses      int64 // whole-study lookups that fell through
-	UnitHits         int64 // (env, app) units decoded instead of computed
-	UnitMisses       int64 // (env, app) units that had to be computed
-	CorruptFallbacks int64 // artifacts present but unreadable (fell back)
+	StudyHits        int64 `json:"studyHits"`        // whole-study warm loads served
+	StudyMisses      int64 `json:"studyMisses"`      // whole-study lookups that fell through
+	UnitHits         int64 `json:"unitHits"`         // (env, app) units decoded instead of computed
+	UnitMisses       int64 `json:"unitMisses"`       // (env, app) units that had to be computed
+	CorruptFallbacks int64 `json:"corruptFallbacks"` // artifacts present but unreadable (fell back)
 }
 
 // ResultStore is the persistent tier between the in-process spec-hash

@@ -47,13 +47,6 @@ type Runner struct {
 	// nothing else keeps every cached tier, because the dataset does not
 	// depend on how many events a session retains for replay.
 	Configure func(*Options)
-	// Fleet, when non-nil, is the work-distribution delegate attached to
-	// every study this runner executes (effective only when a result
-	// store is attached too — the store is the unit-artifact exchange).
-	// The study-store and memory tiers still run first: only units that
-	// miss both are offered to the fleet, and any fleet refusal falls
-	// back to local compute.
-	Fleet FleetDelegate
 
 	// disableStore forces the persistent tier off even when a process
 	// default store is installed (test hook; see cachedRunSpecIn).
@@ -125,7 +118,6 @@ func (r *Runner) Start(ctx context.Context, spec *StudySpec) (*Session, error) {
 			st.Opts = opts
 			st.Store = r.resultStore()
 			st.Logf = r.Logf
-			st.Fleet = r.Fleet
 			go func() {
 				defer cancel()
 				res, err := st.runSession(runCtx, sess)
@@ -181,7 +173,6 @@ func (r *Runner) lead(ctx context.Context, cancel context.CancelFunc, sess *Sess
 		st := newStudy(rspec, spec)
 		st.Store = rs
 		st.Logf = r.Logf
-		st.Fleet = r.Fleet
 		res, err = st.runSession(ctx, sess)
 		if err == nil && rs != nil {
 			if serr := rs.SaveStudy(rspec, res); serr != nil {

@@ -65,9 +65,6 @@ type shard struct {
 	store    *ResultStore
 	computes *atomic.Int64
 	logf     func(format string, args ...any)
-	// fleet, when non-nil alongside store, offloads store-missed units to
-	// remote workers before falling back to local compute (see unit.go).
-	fleet FleetDelegate
 
 	// runStreams caches the per-application draw streams (and legacyStream
 	// the shared pre-spec stream) so the inner loop stops re-deriving
@@ -166,7 +163,6 @@ func (st *Study) newShard(spec apps.EnvSpec) *shard {
 		sh.store = st.Store
 		sh.computes = &st.unitComputes
 		sh.logf = st.Logf
-		sh.fleet = st.Fleet
 	}
 	return sh
 }

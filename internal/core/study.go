@@ -55,12 +55,6 @@ type Study struct {
 	// instead of the store's own logger. Runner plumbs its injected
 	// logger through here; nil keeps the store default.
 	Logf func(format string, args ...any)
-	// Fleet, when non-nil (and a Store is attached — the store is the
-	// artifact exchange), offloads units that miss the memory and store
-	// tiers to remote workers instead of computing them on the local
-	// pool. The delegate decides per unit; a refusal falls back to local
-	// compute, so execution never depends on fleet availability.
-	Fleet FleetDelegate
 
 	// unitComputes counts (env, app) unit precomputations this study
 	// actually performed — the compute probe the incremental-execution

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -154,18 +153,16 @@ type unitSource int
 const (
 	unitFilled    unitSource = iota // already planned (dispatched earlier)
 	unitFromStore                   // decoded from the persistent store
-	unitRemote                      // computed by a fleet worker, then decoded
 	unitComputed                    // computed on the calling worker
 )
 
 // ensureUnit makes one (env, app) unit's planned draws available, in
 // tier order: already filled (no-op), decoded from the persistent result
 // store (a unit whose sub-hash was stored by any earlier study — the
-// incremental-execution path), offloaded to an attached fleet of remote
-// workers (which push the artifact into the same store), or computed on
-// the calling worker and stored for the next study. It reports the
-// serving tier. Units of the same shard may run concurrently: each owns
-// a private simulation, and each writes only its own planned-run slot.
+// incremental-execution path), or computed on the calling worker and
+// stored for the next study. It reports the serving tier. Units of the
+// same shard may run concurrently: each owns a private simulation, and
+// each writes only its own planned-run slot.
 func (sh *shard) ensureUnit(appIdx int) unitSource {
 	if sh.planned[appIdx] != nil {
 		return unitFilled
@@ -177,12 +174,6 @@ func (sh *shard) ensureUnit(appIdx int) unitSource {
 		if u, ok := sh.store.loadUnit(key, sh.spec, m.Name(), sh.iterations, sh.logf); ok {
 			sh.planned[appIdx] = u
 			return unitFromStore
-		}
-		if sh.fleet != nil {
-			if u, ok := sh.offloadUnit(key, m.Name()); ok {
-				sh.planned[appIdx] = u
-				return unitRemote
-			}
 		}
 	}
 	sh.computes.Add(1)
@@ -197,42 +188,16 @@ func (sh *shard) ensureUnit(appIdx int) unitSource {
 	return unitComputed
 }
 
-// offloadUnit publishes one unit to the attached fleet and, when a
-// verified remote artifact lands, decodes it from the store — the same
-// loadUnit a warm hit uses, so a remote unit is indistinguishable from a
-// cached one byte-wise. Any refusal (no live workers, attempts
-// exhausted, straggler deadline, shutdown) or a post-acceptance decode
-// failure returns false and the caller computes locally: an absent or
-// misbehaving fleet can never wedge a study or change its bytes.
-func (sh *shard) offloadUnit(key, app string) (*unitPlan, bool) {
-	ctx := sh.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sess := sh.sess
-	observe := func(kind EventKind) {
-		sess.emit(Event{Kind: kind, Env: sh.spec.Key, App: app})
-	}
-	if !sh.fleet.Offload(ctx, sh.unitWork(key, app), observe) {
-		return nil, false
-	}
-	return sh.store.loadUnit(key, sh.spec, app, sh.iterations, sh.logf)
-}
-
 // resolveUnit is ensureUnit bracketed by its observation events: one
-// EventUnitStarted, then EventUnitCached (filled or store-decoded),
-// EventUnitRemote (fleet-computed), or EventUnitFinished (computed
-// locally). Emission is pure observation; with no session attached this
-// is exactly ensureUnit.
+// EventUnitStarted, then EventUnitCached (filled or store-decoded) or
+// EventUnitFinished (computed locally). Emission is pure observation;
+// with no session attached this is exactly ensureUnit.
 func (sh *shard) resolveUnit(appIdx int) {
 	m := sh.models[appIdx]
 	sh.sess.emit(Event{Kind: EventUnitStarted, Env: sh.spec.Key, App: m.Name()})
 	kind := EventUnitFinished
-	switch sh.ensureUnit(appIdx) {
-	case unitFilled, unitFromStore:
+	if sh.ensureUnit(appIdx) != unitComputed {
 		kind = EventUnitCached
-	case unitRemote:
-		kind = EventUnitRemote
 	}
 	sh.sess.emit(Event{Kind: kind, Env: sh.spec.Key, App: m.Name()})
 }

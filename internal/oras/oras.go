@@ -471,25 +471,6 @@ func (r *Registry) Pull(tag string) (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.pullManifestLocked(m)
-}
-
-// PullDigest fetches all files of an artifact by its manifest digest,
-// with no tag in between — how the fleet coordinator reads a pushed unit
-// artifact for verification before any ref anchors it. The manifest blob
-// need not carry a manifest marker yet (sync-delivered blobs are plain
-// ingests); it only has to decode as a manifest whose layers are present.
-func (r *Registry) PullDigest(d Digest) (map[string][]byte, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	m, err := r.manifestAt(d)
-	if err != nil {
-		return nil, err
-	}
-	return r.pullManifestLocked(m)
-}
-
-func (r *Registry) pullManifestLocked(m Manifest) (map[string][]byte, error) {
 	out := make(map[string][]byte, len(m.Layers))
 	for i, l := range m.Layers {
 		data, err := r.fetchBlobLocked(l.Digest)
@@ -503,36 +484,4 @@ func (r *Registry) pullManifestLocked(m Manifest) (map[string][]byte, error) {
 		out[name] = data
 	}
 	return out, nil
-}
-
-// TagIfAbsent points a name at a manifest digest only if the name is
-// currently unbound — first-write-wins, the property that makes duplicate
-// fleet completions harmless: the first verified artifact claims the tag
-// and every later completion of the same unit becomes a no-op. Unlike
-// Tag, the target may be a plain ingested blob; it is validated here (it
-// must decode as a manifest and every layer must be present) and gains
-// its manifest marker together with the tag. The exclusive lock makes the
-// absence check and the ref write atomic against concurrent taggers.
-func (r *Registry) TagIfAbsent(name string, d Digest) (bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.blobs.Ref(tagRefPrefix + name); ok {
-		return false, nil
-	}
-	m, err := r.manifestAt(d)
-	if err != nil {
-		return false, err
-	}
-	for _, l := range m.Layers {
-		if !r.blobs.Has(string(l.Digest)) {
-			return false, fmt.Errorf("%w: manifest references %s", ErrBlobUnknown, l.Digest)
-		}
-	}
-	if err := r.blobs.SetRefs(map[string]string{
-		manifestRefPrefix + string(d): string(d),
-		tagRefPrefix + name:           string(d),
-	}); err != nil {
-		return false, err
-	}
-	return true, nil
 }

@@ -34,10 +34,6 @@ type conn struct {
 	// the streamed response until its sessions finish. Stdio is full
 	// duplex — input EOF there means the client is gone.
 	streamTail bool
-	// ctx is the connection's lifetime context (the HTTP request's, or
-	// serve's argument): long-polling handlers (fleet.claim) block on it
-	// so a vanished peer releases them.
-	ctx context.Context
 
 	writeMu sync.Mutex
 	bw      *bufio.Writer
@@ -124,7 +120,6 @@ func (c *conn) serve(ctx context.Context, r io.Reader) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c.ctx = ctx
 	// A cancelled context (client disconnect on HTTP, daemon teardown on
 	// stdio) tears the connection's streams down even when no read or
 	// write is in flight to notice.
@@ -219,8 +214,7 @@ func (c *conn) handleLine(line []byte) (closing bool) {
 	case "initialize":
 		result, rpcErr = c.initialize(req.Params)
 	case "study.submit", "study.subscribe", "study.unsubscribe", "study.progress", "study.cancel",
-		"store.inventory", "store.fetch", "store.put", "store.refs",
-		"fleet.register", "fleet.claim", "fleet.heartbeat", "fleet.complete", "fleet.nack":
+		"store.inventory", "store.fetch", "store.put", "store.refs":
 		if !c.initialized {
 			rpcErr = errf(CodeNotInitialized, "initialize required before %q", req.Method)
 			break
@@ -244,16 +238,6 @@ func (c *conn) handleLine(line []byte) (closing bool) {
 			result, rpcErr = c.storePut(req.Params)
 		case "store.refs":
 			result, rpcErr = c.storeRefs(req.Params)
-		case "fleet.register":
-			result, rpcErr = c.fleetRegister(req.Params)
-		case "fleet.claim":
-			result, rpcErr = c.fleetClaim(req.Params)
-		case "fleet.heartbeat":
-			result, rpcErr = c.fleetHeartbeat(req.Params)
-		case "fleet.complete":
-			result, rpcErr = c.fleetComplete(req.Params)
-		case "fleet.nack":
-			result, rpcErr = c.fleetNack(req.Params)
 		}
 	default:
 		rpcErr = errf(CodeMethodNotFound, "unknown method %q", req.Method)

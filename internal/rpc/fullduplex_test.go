@@ -7,9 +7,6 @@ import (
 	"net/http"
 	"testing"
 	"time"
-
-	"cloudhpc/internal/core"
-	"cloudhpc/internal/fleet"
 )
 
 // The tests below send multi-line POSTs the way a slow or distant client
@@ -68,70 +65,5 @@ func TestLargeStorePutArrivesWhole(t *testing.T) {
 	got, err := hub.Get(d)
 	if err != nil || !bytes.Equal(got, blob) {
 		t.Fatalf("hub holds %d bytes (err %v), want %d intact", len(got), err, len(blob))
-	}
-}
-
-// TestPushUnitArrivesWhole serves every unit of a study by hand over
-// the wire — claim, compute, PushUnit — and requires every push to be
-// accepted, with no unit falling back to local compute.
-func TestPushUnitArrivesWhole(t *testing.T) {
-	client, _, co, _, cleanup := fleetTestServer(t, fleet.Options{
-		LeaseTTL:     30 * time.Second,
-		MaxClaimWait: 50 * time.Millisecond,
-		Straggler:    30 * time.Second,
-	})
-	defer cleanup()
-	pusher := &Client{URL: client.URL, HTTP: pacedClient(100 * time.Millisecond)}
-	ctx := context.Background()
-	reg, err := client.FleetRegister(ctx, Implementation{Name: "w", Version: "test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every unit must miss the process-wide memory tier to be offloaded,
-	// also on a repeated run (-count).
-	core.FlushCachedRuns()
-	sub, err := client.Submit(ctx, "seed 880917\nenvs google-gke-cpu\nscales 2\niterations 2\ngranularity env-app\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pushed := 0
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		claim, err := client.FleetClaim(ctx, reg.Worker, 50*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if claim.Unit != nil {
-			files, err := core.ComputeUnitFiles(*claim.Unit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := pusher.PushUnit(ctx, reg.Worker, claim.Lease, *claim.Unit, files)
-			if err != nil {
-				t.Fatalf("push of unit %s: %v", claim.Unit.Key, err)
-			}
-			if !res.Accepted {
-				t.Fatalf("push of unit %s not accepted: %+v", claim.Unit.Key, res)
-			}
-			pushed++
-			continue
-		}
-		pr, err := client.Progress(ctx, sub.Session)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pr.State == "done" {
-			break
-		}
-		if pr.State != "running" {
-			t.Fatalf("session ended %s: %s", pr.State, pr.Err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("study did not complete within 60s")
-		}
-	}
-	s := co.Stats()
-	if pushed == 0 || s.Completed != int64(pushed) || s.Fallbacks != 0 {
-		t.Fatalf("pushed %d units; coordinator stats %+v, want all completed and no fallbacks", pushed, s)
 	}
 }

@@ -8,10 +8,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"cloudhpc/internal/core"
-	"cloudhpc/internal/fleet"
 	"cloudhpc/internal/store"
 )
 
@@ -82,18 +80,11 @@ func FuzzRPCDecode(f *testing.F) {
 	})
 }
 
-// FuzzSyncDecode throws arbitrary bytes at the store.* wire handlers:
-// whatever a hostile sync peer sends — malformed digests, bad base64,
-// impossible offsets, ref batches at phantom blobs — the daemon must
-// not panic, must never store content that does not hash to its name,
+// FuzzFleetDecode throws arbitrary bytes shaped like the retired fleet.*
+// worker family at a daemon that no longer serves it: whatever an old
+// worker sends, the daemon must not panic, must never plant a unit
+// artifact, must answer a fleet.* request only with CodeMethodNotFound,
 // and every reply line must be well-formed JSON-RPC 2.0.
-// FuzzFleetDecode throws arbitrary bytes at the fleet.* wire handlers:
-// whatever a hostile or confused worker sends — phantom workers and
-// leases, malformed digests, bad protocol versions, claims with absurd
-// waits — the daemon must not panic, must never tag an artifact that
-// fails unit verification, and every reply line must be well-formed
-// JSON-RPC 2.0. The coordinator's claim long-poll is capped tiny so a
-// fuzzed claim cannot stall the serial request loop.
 func FuzzFleetDecode(f *testing.F) {
 	f.Add(`{"jsonrpc":"2.0","id":5,"method":"fleet.register","params":{"protocolVersion":"1","worker":{"name":"w","version":"1"}}}`)
 	f.Add(`{"jsonrpc":"2.0","id":6,"method":"fleet.register","params":{"protocolVersion":"99"}}`)
@@ -107,9 +98,7 @@ func FuzzFleetDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line string) {
 		bs := store.NewMemory()
 		rs := core.NewResultStore(bs)
-		co := fleet.New(fleet.Options{MaxClaimWait: 10 * time.Millisecond}, rs)
-		defer co.Close()
-		srv := &Server{Drain: DrainCancel, Runner: &core.Runner{Store: rs}, Fleet: co}
+		srv := &Server{Drain: DrainCancel, Runner: &core.Runner{Store: rs}}
 		var in bytes.Buffer
 		in.WriteString(initLine + "\n")
 		in.WriteString(line + "\n")
@@ -121,14 +110,19 @@ func FuzzFleetDecode(f *testing.F) {
 		}
 		srv.Shutdown()
 
-		// No fuzzed completion can plant a unit ref: every accepted unit
-		// passes schedule verification, and no real unit was ever computed
-		// here — so the ref table must hold no unit/ entries at all.
+		// No fuzzed line can plant a unit ref: no real unit was ever
+		// computed here, so the ref table must hold no unit tags.
 		for name := range rs.Registry().SyncInventory().Refs {
-			if strings.HasPrefix(name, "unit/") {
+			if strings.HasPrefix(name, "oras/tag/unit/") {
 				t.Fatalf("fuzzed input planted a unit ref %q", name)
 			}
 		}
+		// A fleet.* request that reaches dispatch whole must be answered
+		// as an unknown method.
+		var req request
+		wantNotFound := !strings.ContainsAny(line, "\r\n") && json.Unmarshal([]byte(line), &req) == nil &&
+			req.JSONRPC == "2.0" && req.ID != nil && strings.HasPrefix(req.Method, "fleet.")
+		notFound := false
 
 		for _, ln := range bytes.Split(out.Bytes(), []byte("\n")) {
 			ln = bytes.TrimSpace(ln)
@@ -151,10 +145,22 @@ func FuzzFleetDecode(f *testing.F) {
 			if msg.Method == "" && msg.Result == nil && msg.Error == nil {
 				t.Fatalf("server wrote a line that is neither response nor notification: %q", ln)
 			}
+			if msg.Error != nil && msg.Error.Code <= -32005 && msg.Error.Code >= -32008 {
+				t.Fatalf("server answered with retired fleet error code: %q", ln)
+			}
+			notFound = notFound || (msg.Error != nil && msg.Error.Code == CodeMethodNotFound)
+		}
+		if wantNotFound && !notFound {
+			t.Fatalf("fleet request %q was not answered with code %d:\n%s", line, CodeMethodNotFound, out.Bytes())
 		}
 	})
 }
 
+// FuzzSyncDecode throws arbitrary bytes at the store.* wire handlers:
+// whatever a hostile sync peer sends — malformed digests, bad base64,
+// impossible offsets, ref batches at phantom blobs — the daemon must
+// not panic, must never store content that does not hash to its name,
+// and every reply line must be well-formed JSON-RPC 2.0.
 func FuzzSyncDecode(f *testing.F) {
 	f.Add(`{"jsonrpc":"2.0","id":5,"method":"store.inventory"}`)
 	f.Add(`{"jsonrpc":"2.0","id":6,"method":"store.fetch","params":{"digest":"sha256:ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"}}`)

@@ -13,10 +13,11 @@ import (
 //	               until the subscribed sessions end — the streaming
 //	               transport — and each line is flushed as it is written.
 //	GET  /healthz  structured health report (Health as JSON): session
-//	               tallies, store presence, and — with a fleet attached —
-//	               the lease-table counters. Always HTTP 200 so probes
-//	               distinguish "unreachable" from "draining" by body, and
-//	               `curl -sf` liveness checks keep working.
+//	               tallies, store presence, and — with a store attached —
+//	               its hit/miss and corrupt-fallback counters. Always
+//	               HTTP 200 so probes distinguish "unreachable" from
+//	               "draining" by body, and `curl -sf` liveness checks keep
+//	               working.
 //
 // Each POST is its own connection and starts initialized: the handshake
 // is per stdio connection, not per HTTP request, or the streamable
@@ -40,8 +41,8 @@ func (s *Server) Handler() http.Handler {
 		// Replies stream while the body is still being read. Without full
 		// duplex an HTTP/1.x server discards the unread rest of the body
 		// at the first flush, truncating multi-line POSTs (chunked
-		// store.put uploads, unit pushes). The error only reports a writer
-		// that has no such mode; HTTP/2 is always full duplex.
+		// store.put uploads). The error only reports a writer that has no
+		// such mode; HTTP/2 is always full duplex.
 		_ = http.NewResponseController(w).EnableFullDuplex()
 		c := s.newConn(w, true)
 		c.streamTail = true

@@ -27,9 +27,7 @@
 //	shutdown          graceful drain (per the server's policy), then quit
 //
 // The store.* family is the wire form of internal/store's digest-exchange
-// sync (store.Peer): a running daemon is also a sync hub, and the same
-// verbs are what a future remote unit worker needs to claim and return
-// units.
+// sync (store.Peer): a running daemon is also a sync hub.
 package rpc
 
 import (
@@ -37,7 +35,6 @@ import (
 	"fmt"
 
 	"cloudhpc/internal/core"
-	"cloudhpc/internal/fleet"
 )
 
 // ProtocolVersion is the protocol revision this server and client speak.
@@ -62,10 +59,9 @@ const (
 	CodeNotInitialized = -32002 // request before initialize (stdio)
 	CodeShuttingDown   = -32003 // submit after shutdown began
 	CodeNoStore        = -32004 // store.* method on a daemon without a result store
-	CodeNoFleet        = -32005 // fleet.* method on a daemon without a coordinator
-	CodeUnknownWorker  = -32006 // worker ID not registered (fleet.register first)
-	CodeUnknownLease   = -32007 // lease expired, completed, or never existed
-	CodeBadArtifact    = -32008 // fleet.complete artifact failed verification
+	// -32005..-32008 belonged to the retired fleet.* worker family; they
+	// are not to be reused, so an old worker's error handling can never
+	// misread a new meaning.
 )
 
 // request is one incoming JSON-RPC 2.0 message. A missing ID marks a
@@ -128,8 +124,10 @@ type InitializeResult struct {
 
 // Capabilities advertises the study surface, whether the store.* sync
 // family is available (false when the daemon runs without a result
-// store), whether the fleet.* worker family is available (a coordinator
-// is attached), and the server's drain policy for shutdown.
+// store), and the server's drain policy for shutdown. Fleet is always
+// false: this daemon serves no fleet.* family (those methods answer
+// CodeMethodNotFound); the field stays so the handshake's bytes do not
+// change for clients that read it.
 type Capabilities struct {
 	Study StudyCapabilities `json:"study"`
 	Store bool              `json:"store"`
@@ -306,11 +304,14 @@ type StudyEvent struct {
 // and ShutdownResult's closing snapshot. Status is "ok" while the
 // server accepts submissions and "draining" once shutdown began.
 type Health struct {
-	Status   string         `json:"status"`
-	Sessions SessionCounts  `json:"sessions"`
-	Store    bool           `json:"store"`
-	Fleet    *fleet.Stats   `json:"fleet,omitempty"`
-	Server   Implementation `json:"server"`
+	Status   string        `json:"status"`
+	Sessions SessionCounts `json:"sessions"`
+	Store    bool          `json:"store"`
+	// StoreStats, present when a result store is attached, is its
+	// accounting — including CorruptFallbacks, the artifacts found
+	// unreadable and recomputed instead.
+	StoreStats *core.StoreStats `json:"storeStats,omitempty"`
+	Server     Implementation   `json:"server"`
 }
 
 // SessionCounts tallies the registry by lifecycle state.
@@ -320,88 +321,4 @@ type SessionCounts struct {
 	Done      int `json:"done"`
 	Cancelled int `json:"cancelled"`
 	Failed    int `json:"failed"`
-}
-
-// FleetRegisterParams is the worker half of the fleet.register
-// handshake: the protocol version (negotiated exactly like initialize)
-// and the worker's identity for diagnostics.
-type FleetRegisterParams struct {
-	ProtocolVersion string         `json:"protocolVersion"`
-	Worker          Implementation `json:"worker,omitempty"`
-}
-
-// FleetRegisterResult assigns the worker its ID and the protocol
-// timings: the lease TTL, the heartbeat cadence that keeps a lease
-// alive, and the server-side cap on one claim long-poll.
-type FleetRegisterResult struct {
-	Worker      string `json:"worker"`
-	LeaseMs     int64  `json:"leaseMs"`
-	HeartbeatMs int64  `json:"heartbeatMs"`
-	MaxWaitMs   int64  `json:"maxWaitMs"`
-}
-
-// FleetClaimParams asks for one unit, long-polling up to WaitMs (capped
-// server-side) when the lease table is empty.
-type FleetClaimParams struct {
-	Worker string `json:"worker"`
-	WaitMs int64  `json:"waitMs,omitempty"`
-}
-
-// FleetClaimResult is one claim outcome. A nil Unit with Closed false
-// means the poll elapsed idle — claim again. Closed true means the
-// coordinator shut down and the worker should drain and exit.
-type FleetClaimResult struct {
-	Unit    *core.UnitWork `json:"unit,omitempty"`
-	Lease   string         `json:"lease,omitempty"`
-	LeaseMs int64          `json:"leaseMs,omitempty"`
-	Closed  bool           `json:"closed,omitempty"`
-}
-
-// FleetHeartbeatParams extends a lease while its unit computes.
-type FleetHeartbeatParams struct {
-	Worker string `json:"worker"`
-	Lease  string `json:"lease"`
-}
-
-// FleetHeartbeatResult reports the renewed lease time. A
-// CodeUnknownLease error instead means the lease expired or its unit
-// completed elsewhere — abandon the unit (or push anyway: a verified
-// late artifact is still accepted and deduped).
-type FleetHeartbeatResult struct {
-	Lease   string `json:"lease"`
-	LeaseMs int64  `json:"leaseMs"`
-}
-
-// FleetCompleteParams reports a computed unit: the lease, the unit key,
-// and the manifest digest of the artifact whose blobs were uploaded via
-// store.put on this same connection (or any earlier one). The
-// coordinator verifies the artifact against the unit's exact draw
-// schedule before accepting.
-type FleetCompleteParams struct {
-	Worker   string `json:"worker"`
-	Lease    string `json:"lease"`
-	Key      string `json:"key"`
-	Manifest string `json:"manifest"`
-}
-
-// FleetCompleteResult acknowledges a completion. Duplicate means the
-// unit was already done (another worker, or a retry) — harmless, the
-// store is content-addressed and refs are first-write-wins.
-type FleetCompleteResult struct {
-	Key       string `json:"key"`
-	Accepted  bool   `json:"accepted"`
-	Duplicate bool   `json:"duplicate,omitempty"`
-}
-
-// FleetNackParams returns a claimed unit unfinished (compute error,
-// worker shutting down): the lease re-queues immediately.
-type FleetNackParams struct {
-	Worker string `json:"worker"`
-	Lease  string `json:"lease"`
-	Reason string `json:"reason,omitempty"`
-}
-
-// FleetNackResult acknowledges the nack.
-type FleetNackResult struct {
-	Requeued bool `json:"requeued"`
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"cloudhpc/internal/core"
-	"cloudhpc/internal/fleet"
 )
 
 // DefaultServerReplay is the replay-ring bound the server configures on
@@ -54,13 +53,6 @@ type Server struct {
 	// Info is the serverInfo reported by initialize; a zero value is
 	// filled with the module's name.
 	Info Implementation
-	// Fleet, when non-nil, serves the fleet.* worker family: remote
-	// workers register, claim leased units, and push artifacts back. The
-	// same coordinator should be attached to the Runner (Runner.Fleet) so
-	// studies offload to it. Shutdown closes the coordinator before
-	// draining sessions — blocked offloads fall back to local compute, so
-	// the drain always completes.
-	Fleet *fleet.Coordinator
 
 	mu       sync.Mutex
 	runner   *core.Runner
@@ -218,12 +210,6 @@ func (s *Server) Shutdown() {
 	drained := s.drained
 	s.mu.Unlock()
 	s.shutOnce.Do(func() {
-		// Close the fleet first: every parked worker claim returns closed,
-		// and every study blocked on an offload falls back to local compute
-		// — a draining daemon never waits on remote workers.
-		if s.Fleet != nil {
-			s.Fleet.Close()
-		}
 		if s.drainPolicy() == DrainCancel {
 			for _, ss := range sessions {
 				ss.sess.Cancel()
@@ -250,7 +236,7 @@ func (s *Server) Drained() <-chan struct{} {
 
 // Health snapshots the server for GET /healthz and the shutdown reply:
 // session tallies by state, whether a store is attached, and — with a
-// coordinator attached — the fleet's lease-table counters.
+// store attached — its hit/miss and corrupt-fallback counters.
 func (s *Server) Health() Health {
 	s.mu.Lock()
 	s.ensureLocked()
@@ -280,9 +266,9 @@ func (s *Server) Health() Health {
 			h.Sessions.Failed++
 		}
 	}
-	if s.Fleet != nil {
-		st := s.Fleet.Stats()
-		h.Fleet = &st
+	if s.hasStore() {
+		st := s.Runner.Store.Stats()
+		h.StoreStats = &st
 	}
 	return h
 }

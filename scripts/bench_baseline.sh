@@ -9,14 +9,6 @@
 #	  'cold = full compute + serialize into a fresh on-disk store; warm = whole-study decode from the store, no simulation; compare the cold/warm ratio, not absolutes' \
 #	  > BENCH_store.json
 #
-# and the fleet local-fallback overhead point (an attached-but-empty
-# coordinator must sit within noise of the plain runner) is:
-#
-#	sh scripts/bench_baseline.sh \
-#	  'BenchmarkRunnerStudyCold$|BenchmarkFleetLocalFallback$' \
-#	  'fallback = runner-cold workload with a fleet coordinator attached and zero workers registered; every unit offload takes the no-live-workers fast path; compare against runner-cold, acceptance is <2% overhead' \
-#	  > BENCH_fleet.json
-#
 # Each entry carries a peak_rss_kb axis (the bench process's VmHWM, via
 # reportPeakRSS in bench_test.go; 0 where a benchmark does not report
 # it). VmHWM is process-wide and monotone, so the number is only
