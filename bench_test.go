@@ -546,8 +546,8 @@ func BenchmarkAutoscalingTradeoff(b *testing.B) {
 // BenchmarkStudyStoreCold and BenchmarkStudyStoreWarm quantify what the
 // persistent result store buys. Cold is the worst case: the memory tier
 // is flushed, the store is fresh, so the study computes end to end and
-// every artifact — study bundle plus 143 unit artifacts — is serialized
-// into a new on-disk store. Warm flushes only the memory tier: the
+// everything is serialized into a new on-disk store — the study bundle
+// plus one unit pack holding all 143 units (6 blob files). Warm flushes only the memory tier: the
 // dataset decodes whole from the store, no simulation at all.
 // scripts/bench_baseline.sh turns the pair into the BENCH_store.json
 // cold-vs-warm data point; compare the ratio, not the absolutes.

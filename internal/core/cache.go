@@ -10,8 +10,9 @@ import (
 //	memory  → the process-wide map below, keyed by canonical spec hash
 //	store   → the persistent ResultStore (when one is configured):
 //	          whole-study bundles under "study/<hash>", and — during
-//	          compute — per-(env, app) unit artifacts under
-//	          "unit/<sub-hash>" for incremental reuse
+//	          compute — per-(env, app) units for incremental reuse,
+//	          each named by a "unit/<sub-hash>" ref that points into the
+//	          unit pack (one blob per computing study) holding it
 //	compute → one context-aware study execution (Study.runSession)
 //
 // Every consumer that only needs a given spec's dataset (the root

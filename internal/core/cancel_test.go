@@ -51,8 +51,10 @@ func assertNoCoreGoroutineLeak(t *testing.T, baseline int) {
 
 // verifyStoreReopens re-opens a disk-backed result store from scratch
 // and self-verifies every artifact in it: each tag must pull cleanly,
-// which re-reads every blob and re-checks every digest end to end. A
-// cancellation that tore an artifact would fail here.
+// which re-reads every blob and re-checks every digest end to end, and
+// each unit ref's pack must fetch (digest-verified), parse, and decode
+// that unit's section. A cancellation that tore an artifact or a pack
+// would fail here.
 func verifyStoreReopens(t *testing.T, dir string) {
 	t.Helper()
 	rs, err := OpenResultStore(dir)
@@ -66,7 +68,14 @@ func verifyStoreReopens(t *testing.T, dir string) {
 			t.Fatalf("artifact %s failed self-verification after cancellation: %v", tag, err)
 		}
 	}
-	t.Logf("store re-opened clean: %d artifacts verified", len(tags))
+	units := 0
+	for _, name := range rs.Registry().Backend().Refs() {
+		if key, ok := strings.CutPrefix(name, unitRefPrefix); ok {
+			fetchPackUnit(t, rs, key)
+			units++
+		}
+	}
+	t.Logf("store re-opened clean: %d artifacts and %d packed units verified", len(tags), units)
 }
 
 // TestCancellationMatrix is the satellite coverage matrix: cancel

@@ -71,7 +71,14 @@
 // outputs under "unit/<sub-hash>" (UnitKey); because a unit's sub-hash
 // covers only that unit's own inputs, a spec that edits one environment
 // of a previously stored study recomputes only that environment's units
-// and decodes the rest — incremental execution. Warm results are
-// byte-identical to cold compute; unreadable artifacts degrade to a
-// logged warning and a recompute.
+// and decodes the rest — incremental execution. The units one study
+// computes are stored together as a single unit pack: one blob holding
+// an index line (key → offset, length) and each unit's metadata and
+// record lines in key order, plus one ref batch pointing every
+// "unit/<sub-hash>" ref at it. A pack is live for GC while any unit ref
+// names it; it is written atomically before its refs, so a crash never
+// leaves a ref to a partial pack. Warm results are byte-identical to
+// cold compute; unreadable artifacts degrade to a logged warning, a
+// corruptFallbacks count per unit, and a recompute, and failed writes
+// count in writeFailures.
 package core

@@ -8,11 +8,12 @@ package core
 // disk via -store for the cmd/ tools and CI), keyed by content hashes of
 // exactly the inputs that determine them.
 //
-// Two artifact granularities live in the store:
+// Two granularities live in the store:
 //
 //   - "study/<spec-hash>": a complete study dataset (runs, trace,
 //     billing ledger, audits) under the spec's canonical hash — the
-//     whole-study warm path of CachedRunSpec.
+//     whole-study warm path of CachedRunSpec. One oras artifact: four
+//     layer blobs and a manifest.
 //   - "unit/<sub-hash>": one (env, app) unit's precomputed model and
 //     hookup draws under a sub-hash of only that unit's inputs (seed,
 //     env row with scales, app, iterations, the chaos-plan slice
@@ -21,13 +22,40 @@ package core
 //     env re-executes only that env's units; unchanged envs decode their
 //     units from the store.
 //
+// Units are not stored one artifact each. The units a study computes are
+// encoded as they finish and, once the worker pool drains, written as
+// one content-addressed blob, the unit pack (dataset.MarshalUnitPack):
+// an index line mapping each unit key to its [offset, length], then each
+// unit's metadata line and record lines, in key order, so the pack's
+// bytes do not depend on the worker count. One ref batch then points
+// every "unit/<sub-hash>" ref (a raw backend ref, not an oras tag) at
+// the pack. A cold full study therefore writes six blobs — the bundle's
+// five and one pack — and two ref-journal lines, instead of three files
+// and a journal append per unit.
+//
+// Reading, a study resolves all its unit refs in one pass before
+// dispatch and fetches and digest-verifies each distinct pack once, in
+// a cache that lives only for that study run.
+//
+// GC liveness: a pack is live while any unit ref targets it (ref
+// targets are GC roots), so a pack whose units were all superseded by
+// newer packs is reclaimed. Crash story: the pack blob lands atomically
+// (temp file and rename) before the one journal line that points refs at
+// it, so a crash leaves either no new refs — an orphan blob that Open
+// adopts and GC reclaims — or refs to a whole pack, never a ref to a
+// partial one. The blob and its refs are written under the registry's
+// shared lock (oras.Registry.PutRefs), so a GC sweep cannot fall between
+// them.
+//
 // Warm results are byte-identical to cold compute: every float, duration
 // and error message round-trips exactly (JSON floats use shortest
 // round-trip encoding, durations are integer nanoseconds, errors flatten
 // to their messages and known sentinels rehydrate). Any read failure —
-// missing tag, corrupt blob, schema drift — degrades to a logged warning
-// and a recompute, never an error: the store is a cache, the simulation
-// is the truth.
+// corrupt blob, schema drift, a stale unit section — degrades to a
+// logged warning and a recompute, never an error: the store is a cache,
+// the simulation is the truth. Every such fallback counts in
+// StoreStats.CorruptFallbacks (one per unit that falls back), and every
+// failed write in StoreStats.WriteFailures.
 
 import (
 	"crypto/sha256"
@@ -123,11 +151,12 @@ type StoreStats struct {
 	UnitHits         int64 `json:"unitHits"`         // (env, app) units decoded instead of computed
 	UnitMisses       int64 `json:"unitMisses"`       // (env, app) units that had to be computed
 	CorruptFallbacks int64 `json:"corruptFallbacks"` // artifacts present but unreadable (fell back)
+	WriteFailures    int64 `json:"writeFailures"`    // unit packs and study bundles that failed to store
 }
 
 // ResultStore is the persistent tier between the in-process spec-hash
 // cache and study execution: an oras registry over a pluggable blob
-// store holding study bundles and unit artifacts. Safe for concurrent
+// store holding study bundles and unit packs. Safe for concurrent
 // use. The zero value is not usable; use NewResultStore or
 // OpenResultStore.
 type ResultStore struct {
@@ -138,7 +167,7 @@ type ResultStore struct {
 	// first use; the store calls it without synchronization.
 	Logf func(format string, args ...any)
 
-	studyHits, studyMisses, unitHits, unitMisses, corrupt atomic.Int64
+	studyHits, studyMisses, unitHits, unitMisses, corrupt, writeFailures atomic.Int64
 }
 
 // NewResultStore returns a result store over the given blob store.
@@ -169,14 +198,28 @@ func (rs *ResultStore) Stats() StoreStats {
 		UnitHits:         rs.unitHits.Load(),
 		UnitMisses:       rs.unitMisses.Load(),
 		CorruptFallbacks: rs.corrupt.Load(),
+		WriteFailures:    rs.writeFailures.Load(),
 	}
 }
 
 // GC sweeps blobs unreachable from the store's artifacts (superseded
-// bundles whose tags moved on, damaged leftovers) and reports how many
-// were removed. The sweep is mutually exclusive with in-flight pushes
-// (oras.Registry.GC holds the registry's write lock).
+// bundles whose tags moved on, unit packs no unit ref names any more,
+// damaged leftovers) and reports how many were removed. Unit packs stay
+// live exactly as long as some "unit/" ref targets them. The legacy
+// per-unit tags are dropped first, so their manifests and layers are
+// reclaimed too. The sweep is mutually exclusive with in-flight pushes
+// and pack writes (oras.Registry.GC holds the registry's write lock).
 func (rs *ResultStore) GC() (int, error) {
+	backend := rs.reg.Backend()
+	var legacy []string
+	for _, name := range backend.Refs() {
+		if strings.HasPrefix(name, legacyUnitTagPrefix) {
+			legacy = append(legacy, name)
+		}
+	}
+	if err := backend.DeleteRefs(legacy); err != nil {
+		return 0, err
+	}
 	return rs.reg.GC()
 }
 
@@ -231,8 +274,17 @@ type studyMeta struct {
 // same blobs. The four bundle files encode concurrently — they read
 // disjoint, by-now-immutable parts of the results (runs, trace, ledger,
 // metadata), so the encodes are independent and the bundle bytes are
-// identical to a serial encode.
+// identical to a serial encode. A failed save counts in
+// StoreStats.WriteFailures as well as returning its error.
 func (rs *ResultStore) SaveStudy(r *ResolvedSpec, res *Results) error {
+	err := rs.saveStudy(r, res)
+	if err != nil {
+		rs.writeFailures.Add(1)
+	}
+	return err
+}
+
+func (rs *ResultStore) saveStudy(r *ResolvedSpec, res *Results) error {
 	key := r.Hash()
 	var (
 		wg                                   sync.WaitGroup
@@ -427,68 +479,173 @@ func UnitKey(seed uint64, env apps.EnvSpec, app string, iterations int, plan *ch
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
 }
 
-// saveUnit archives one computed unit. Failures are warnings (routed
-// through logf when injected): a unit that fails to store just
-// recomputes next time.
-func (rs *ResultStore) saveUnit(meta dataset.UnitMeta, u *unitPlan, logf func(format string, args ...any)) {
-	files, err := dataset.MarshalUnit(meta, unitRecords(meta.Env, meta.App, u))
-	if err == nil {
-		_, err = rs.reg.Push("unit/"+meta.Key, dataset.UnitArtifactType, files, nil)
-	}
-	if err != nil {
-		rs.logvia(logf, "core: result store: storing unit/%s failed: %v", meta.Key, err)
-	}
+// Unit refs live beside the oras namespaces in the backend:
+// "unit/<sub-hash>" names the digest of the unit pack holding that unit.
+// legacyUnitTagPrefix is the oras tag namespace of the one-artifact-per-
+// unit form older stores hold; nothing looks those tags up any more (a
+// lookup under unitRefPrefix misses), and GC drops them.
+const (
+	unitRefPrefix       = "unit/"
+	legacyUnitTagPrefix = "oras/tag/unit/"
+)
+
+// unitTier is one study's view of the unit tier, alive for a single
+// runSession: the packs the study's unit refs resolve to, each fetched
+// and digest-verified once before dispatch, and the encoded sections of
+// the units the study computes, pending the one pack write after the
+// worker pool drains.
+type unitTier struct {
+	rs   *ResultStore
+	logf func(format string, args ...any)
+	// packs maps each unit key whose ref resolved to the pack it names;
+	// keys sharing a pack share one entry. Written before dispatch, read
+	// only afterwards.
+	packs map[string]*packRef
+
+	mu      sync.Mutex
+	pending map[string][]byte // unit key → encoded section
 }
 
-// loadUnit returns the archived unit plan for a key, or (nil, false) on
-// a miss; unreadable or mismatched artifacts warn (through logf when
-// injected) and miss. The decoded
-// runs are validated against the exact (nodes, iter) schedule the
-// environment assembly will replay — a stale artifact that still
-// decodes (a draw-schedule change not captured by the key or a schema
-// bump) must degrade to recompute here, because once handed to the
-// assembly an out-of-step plan fails the whole study.
-func (rs *ResultStore) loadUnit(key string, env apps.EnvSpec, app string, iterations int, logf func(format string, args ...any)) (*unitPlan, bool) {
-	files, err := rs.reg.Pull("unit/" + key)
-	if errors.Is(err, oras.ErrTagUnknown) {
+// packRef is one distinct pack a study's unit refs name: the parsed
+// pack, or why it could not be fetched or parsed.
+type packRef struct {
+	digest string
+	pack   *dataset.UnitPack
+	err    error
+}
+
+// openUnits resolves, in one pass before dispatch, the unit ref of every
+// (env, app) unit the study's deployable shards will run, fetches each
+// distinct pack those refs name, and attaches the resulting tier to the
+// shards. It returns nil (no unit tier) when the study has no store or
+// draws from the legacy shared streams.
+func (st *Study) openUnits(shards []*shard) *unitTier {
+	if st.Store == nil || st.Opts.LegacyRunStreams {
+		return nil
+	}
+	t := &unitTier{rs: st.Store, logf: st.Logf, packs: make(map[string]*packRef), pending: make(map[string][]byte)}
+	byDigest := make(map[string]*packRef)
+	for _, sh := range shards {
+		if sh.spec.Unavailable != "" {
+			continue
+		}
+		sh.units = t
+		sh.unitKeys = make([]string, len(sh.models))
+		for i, m := range sh.models {
+			key := UnitKey(sh.sim.Seed(), sh.spec, m.Name(), sh.iterations, sh.opts.Chaos)
+			sh.unitKeys[i] = key
+			d, ok := st.Store.reg.Backend().Ref(unitRefPrefix + key)
+			if !ok {
+				continue
+			}
+			ref := byDigest[d]
+			if ref == nil {
+				ref = &packRef{digest: d}
+				var data []byte
+				if data, ref.err = st.Store.reg.FetchBlob(oras.Digest(d)); ref.err == nil {
+					ref.pack, ref.err = dataset.ParseUnitPack(data)
+				}
+				byDigest[d] = ref
+			}
+			t.packs[key] = ref
+		}
+	}
+	return t
+}
+
+// load returns the stored unit plan for a key, or (nil, false) on a
+// miss. A key with no ref is a plain miss. A ref whose pack could not be
+// fetched or parsed, a key the pack does not hold, metadata naming
+// another unit, and a section whose records do not replay the exact
+// (nodes, iter) schedule the environment assembly will consume each
+// count one corrupt fallback for this unit, warn, and miss — a stale
+// section that still decodes must degrade to recompute here, because
+// once handed to the assembly an out-of-step plan fails the whole study.
+func (t *unitTier) load(key string, env apps.EnvSpec, app string, iterations int) (*unitPlan, bool) {
+	rs := t.rs
+	ref := t.packs[key]
+	if ref == nil {
 		rs.unitMisses.Add(1)
 		return nil, false
 	}
-	if err != nil {
-		rs.corrupt.Add(1)
-		rs.unitMisses.Add(1)
-		rs.logvia(logf, "core: result store: unit/%s unreadable (%v); recomputing", key, err)
-		return nil, false
+	err := ref.err
+	var (
+		meta dataset.UnitMeta
+		cur  *jsonl.Decoder[dataset.Record]
+		u    *unitPlan
+	)
+	if err == nil {
+		meta, cur, err = ref.pack.Section(key)
 	}
-	meta, cur, err := dataset.UnitCursor(files)
 	if err == nil && (meta.Version != storeSchemaVersion || meta.Key != key || meta.Env != env.Key || meta.App != app) {
 		err = fmt.Errorf("unit metadata %s/%s v%d under key %s", meta.Env, meta.App, meta.Version, key)
 	}
-	var u *unitPlan
 	if err == nil {
 		u, err = decodeUnitPlan(env, app, iterations, meta, cur)
 	}
 	if err != nil {
 		rs.corrupt.Add(1)
 		rs.unitMisses.Add(1)
-		rs.logvia(logf, "core: result store: unit/%s undecodable (%v); recomputing", key, err)
+		rs.logvia(t.logf, "core: result store: unit/%s in pack %s unreadable (%v); recomputing", key, ref.digest, err)
 		return nil, false
 	}
 	rs.unitHits.Add(1)
 	return u, true
 }
 
-// decodeUnitPlan drains a unit artifact's record cursor into a unit
-// plan in one streaming pass: each record is validated against the
-// exact (nodes, iter) schedule planUnit would plan today as it decodes
-// — the same loop shape, so the planned schedule and its archived form
-// can never drift apart silently — and converted straight into its
-// planned-run slot, with no intermediate record slice. A stale artifact
-// that still decodes (a draw-schedule change not captured by the key or
-// a schema bump) must fail here, because once handed to the assembly an
-// out-of-step plan fails the whole study.
+// add encodes one computed unit as a pack section. It runs on the worker
+// that computed the unit, so encoding is spread over the pool and the
+// plan itself stays free to be released as the assembly consumes it.
+func (t *unitTier) add(meta dataset.UnitMeta, u *unitPlan) {
+	data, err := dataset.MarshalUnitSection(meta, unitRecords(meta.Env, meta.App, u))
+	if err != nil {
+		t.rs.writeFailures.Add(1)
+		t.rs.logvia(t.logf, "core: result store: encoding unit/%s failed: %v", meta.Key, err)
+		return
+	}
+	t.mu.Lock()
+	t.pending[meta.Key] = data
+	t.mu.Unlock()
+}
+
+// flush writes the units this study computed as one pack — one blob, then
+// one ref batch pointing each unit's ref at it — and drops the tier's
+// packs and pending sections. Called once, after the pool drained. A
+// failed write is counted and warned about; the units just recompute
+// next time. The blob lands atomically before any ref names it, so a
+// crash leaves either the old refs or refs to the whole new pack.
+func (t *unitTier) flush() {
+	if t == nil {
+		return
+	}
+	pending := t.pending
+	t.pending, t.packs = nil, nil
+	if len(pending) == 0 {
+		return
+	}
+	names := make([]string, 0, len(pending))
+	for key := range pending {
+		names = append(names, unitRefPrefix+key)
+	}
+	pack, err := dataset.MarshalUnitPack(pending)
+	if err == nil {
+		_, err = t.rs.reg.PutRefs(pack, names)
+	}
+	if err != nil {
+		t.rs.writeFailures.Add(1)
+		t.rs.logvia(t.logf, "core: result store: storing the pack of %d units failed: %v", len(pending), err)
+	}
+}
+
+// decodeUnitPlan drains a pack section's record cursor into a unit plan
+// in one streaming pass: each record is validated against the exact
+// (nodes, iter) schedule planUnit would plan today as it decodes — the
+// same loop shape, so the planned schedule and its archived form can
+// never drift apart silently — and converted straight into its
+// planned-run slot, with no intermediate record slice. The plan is sized
+// from that schedule, never from the section's own record count.
 func decodeUnitPlan(env apps.EnvSpec, app string, iterations int, meta dataset.UnitMeta, cur *jsonl.Decoder[dataset.Record]) (*unitPlan, error) {
-	u := &unitPlan{runs: make([]plannedRun, 0, meta.Records)}
+	u := &unitPlan{runs: make([]plannedRun, 0, unitRuns(env, app, iterations))}
 	maxNodes := apps.MaxNodesFor(env)
 	for _, nodes := range env.Scales {
 		if nodes > maxNodes {

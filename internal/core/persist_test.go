@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"cloudhpc/internal/apps"
 	"cloudhpc/internal/chaos"
 	"cloudhpc/internal/dataset"
+	"cloudhpc/internal/oras"
 	"cloudhpc/internal/store"
 )
 
@@ -377,10 +380,12 @@ func TestRunErrRehydratesSentinels(t *testing.T) {
 	}
 }
 
-// TestStaleUnitArtifactFallsBack: an artifact that decodes cleanly but
-// carries a draw schedule the assembly would not replay (e.g. written
+// TestStaleUnitArtifactFallsBack: a pack section that decodes cleanly
+// but carries a draw schedule the assembly would not replay (e.g. written
 // before a schedule-affecting change that escaped the key) must degrade
-// to recompute — never reach unitPlan.take and fail the study.
+// to recompute — never reach unitPlan.take and fail the study. The stale
+// section sits inside a pack beside a healthy one, and only the stale
+// unit falls back.
 func TestStaleUnitArtifactFallsBack(t *testing.T) {
 	t.Parallel()
 	rs, _ := quietStore(t)
@@ -388,28 +393,48 @@ func TestStaleUnitArtifactFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := UnitKey(771005, env, "stream", Iterations, nil)
-	// A well-formed artifact under the right key with a wrong schedule:
-	// one record at a node count the environment never runs first.
-	files, err := dataset.MarshalUnit(dataset.UnitMeta{
-		Version: storeSchemaVersion, Key: key, Seed: 771005,
+	// Store the healthy "osu" unit through a real study, then pack it
+	// again beside a well-formed "stream" section under the right key
+	// with a wrong schedule: one record at a node count the environment
+	// never runs first.
+	seed := uint64(771005)
+	warmup, _ := storedStudy(t, &StudySpec{Seed: seed, Envs: []string{"onprem-a-cpu"}, Apps: []string{"osu"}}, rs)
+	if _, err := warmup.RunFull(); err != nil {
+		t.Fatal(err)
+	}
+	osuKey := UnitKey(seed, env, "osu", Iterations, nil)
+	osu := fetchPackUnit(t, rs, osuKey)
+	osuSec, err := dataset.MarshalUnitSection(osu.meta, osu.recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := UnitKey(seed, env, "stream", Iterations, nil)
+	stale, err := dataset.MarshalUnitSection(dataset.UnitMeta{
+		Version: storeSchemaVersion, Key: key, Seed: seed,
 		Env: env.Key, App: "stream", Iterations: Iterations,
 	}, []dataset.Record{{Env: env.Key, App: "stream", Nodes: 7, Iter: 0, FOM: 1, Unit: "GB/s"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.Registry().Push("unit/"+key, dataset.UnitArtifactType, files, nil); err != nil {
+	pack, err := dataset.MarshalUnitPack(map[string][]byte{key: stale, osuKey: osuSec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.Registry().PutRefs(pack, []string{unitRefPrefix + key, unitRefPrefix + osuKey}); err != nil {
 		t.Fatal(err)
 	}
 
-	spec := &StudySpec{Seed: 771005, Envs: []string{"onprem-a-cpu"}, Apps: []string{"stream"}}
+	before := rs.Stats()
+	spec := &StudySpec{Seed: seed, Envs: []string{"onprem-a-cpu"}, Apps: []string{"osu", "stream"}}
 	st, _ := storedStudy(t, spec, rs)
 	res, err := st.RunFull()
 	if err != nil {
-		t.Fatalf("stale unit artifact must fall back to compute, got: %v", err)
+		t.Fatalf("stale unit section must fall back to compute, got: %v", err)
 	}
-	if st.UnitComputes() != 1 || rs.Stats().CorruptFallbacks == 0 {
-		t.Fatalf("fallback not taken: computes=%d stats=%+v", st.UnitComputes(), rs.Stats())
+	s := rs.Stats()
+	if st.UnitComputes() != 1 || s.CorruptFallbacks-before.CorruptFallbacks != 1 || s.UnitHits-before.UnitHits != 1 {
+		t.Fatalf("want the stale unit recomputed and the healthy one served: computes=%d stats %+v -> %+v",
+			st.UnitComputes(), before, s)
 	}
 	// And the dataset matches a store-free run.
 	stPlain, _ := storedStudy(t, spec, nil)
@@ -419,6 +444,72 @@ func TestStaleUnitArtifactFallsBack(t *testing.T) {
 	}
 	if goldenSnapshot(res) != goldenSnapshot(resPlain) {
 		t.Fatal("fallback dataset drifted")
+	}
+}
+
+// packUnit is one unit as decoded from the pack its ref names.
+type packUnit struct {
+	digest string
+	meta   dataset.UnitMeta
+	recs   []dataset.Record
+}
+
+// fetchPackUnit resolves a unit ref, fetches and parses its pack, and
+// decodes the unit's section.
+func fetchPackUnit(t *testing.T, rs *ResultStore, key string) packUnit {
+	t.Helper()
+	d, ok := rs.Registry().Backend().Ref(unitRefPrefix + key)
+	if !ok {
+		t.Fatalf("no ref for unit %s", key)
+	}
+	data, err := rs.Registry().FetchBlob(oras.Digest(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := dataset.ParseUnitPack(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, recs, err := p.Unit(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return packUnit{digest: d, meta: meta, recs: recs}
+}
+
+// failingPuts is a blob store whose every Put fails: the writes of a
+// study (its unit pack and its bundle) cannot land, while reads work.
+type failingPuts struct{ store.BlobStore }
+
+func (failingPuts) Put([]byte) (string, error) { return "", errors.New("disk full") }
+
+// TestStoreWriteFailuresCounted: a store that cannot write must not hide
+// it. A study through the Runner still returns the store-free dataset
+// byte for byte, and the failed pack write and bundle write each count
+// in StoreStats.WriteFailures — nothing else does.
+func TestStoreWriteFailuresCounted(t *testing.T) {
+	t.Parallel()
+	rs := NewResultStore(failingPuts{store.NewMemory()})
+	rs.Logf = t.Logf
+	spec := &StudySpec{Seed: 771008, Envs: []string{"onprem-a-cpu", "aws-eks-cpu"}, Apps: []string{"stream", "osu"}}
+	dropCacheEntry(t, spec) // a memoized dataset from an earlier -count run would skip the store
+	res, err := (&Runner{Store: rs}).Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("a failing store must not fail the study: %v", err)
+	}
+	stPlain, _ := storedStudy(t, spec, nil)
+	resPlain, err := stPlain.RunFull()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if goldenSnapshot(res) != goldenSnapshot(resPlain) {
+		t.Fatal("dataset from a failing store differs from store-free compute")
+	}
+	if s := rs.Stats(); s.WriteFailures != 2 || s.CorruptFallbacks != 0 || s.UnitMisses != 4 {
+		t.Fatalf("stats %+v, want writeFailures 2 (pack and bundle), no fallback, 4 unit misses", s)
+	}
+	if n := len(rs.Registry().Backend().Refs()); n != 0 {
+		t.Fatalf("failing store holds %d refs", n)
 	}
 }
 
@@ -495,9 +586,9 @@ func TestResultStoreGCReclaimsSupersededBundles(t *testing.T) {
 
 // TestParallelCodecArtifactsSha256Identical pins the serialization
 // rework at the artifact level: bundle files encode concurrently,
-// units encode/decode as independent pool tasks at any granularity, and
-// none of that may move a single byte — every stored artifact (the
-// study bundle and each unit artifact) must hash identically across
+// units encode and decode as independent pool tasks at any granularity,
+// and none of that may move a single byte — every stored artifact (the
+// study bundle and the study's unit pack) must hash identically across
 // worker counts 1, 4, and 32. The dataset-level sweep above proves the
 // decoded views agree; this proves the stored bytes themselves do.
 func TestParallelCodecArtifactsSha256Identical(t *testing.T) {
@@ -521,6 +612,33 @@ func TestParallelCodecArtifactsSha256Identical(t *testing.T) {
 			}
 			sums[tag] = fmt.Sprintf("%x", h.Sum(nil))
 		}
+		// Every unit ref must name the one pack this study wrote; the
+		// pack is hashed from its fetched bytes.
+		backend := rs.Registry().Backend()
+		packs := map[string]int{}
+		for _, name := range backend.Refs() {
+			if strings.HasPrefix(name, unitRefPrefix) {
+				d, _ := backend.Ref(name)
+				packs[d]++
+			}
+		}
+		if len(packs) != 1 {
+			t.Fatalf("unit refs name %d packs, want 1", len(packs))
+		}
+		for d, n := range packs {
+			data, err := rs.Registry().FetchBlob(oras.Digest(d))
+			if err != nil {
+				t.Fatalf("fetch unit pack: %v", err)
+			}
+			p, err := dataset.ParseUnitPack(data)
+			if err != nil {
+				t.Fatalf("parse unit pack: %v", err)
+			}
+			if len(p.Keys()) != n {
+				t.Fatalf("pack holds %d units, %d refs name it", len(p.Keys()), n)
+			}
+			sums["unit pack"] = fmt.Sprintf("%x", sha256.Sum256(data))
+		}
 		return sums
 	}
 
@@ -538,20 +656,86 @@ func TestParallelCodecArtifactsSha256Identical(t *testing.T) {
 			t.Fatal(err)
 		}
 		sums := artifactSums(rs)
-		if len(sums) < 2 {
-			t.Fatalf("workers=%d: only %d artifacts stored; expected a study bundle plus units", w, len(sums))
+		if len(sums) != 2 {
+			t.Fatalf("workers=%d: %d artifacts stored; expected a study bundle and a unit pack", w, len(sums))
 		}
 		if golden == nil {
 			golden, goldenWorkers = sums, w
 			continue
-		}
-		if len(sums) != len(golden) {
-			t.Fatalf("workers=%d stored %d artifacts, workers=%d stored %d", w, len(sums), goldenWorkers, len(golden))
 		}
 		for tag, sum := range sums {
 			if golden[tag] != sum {
 				t.Errorf("workers=%d: artifact %s sha256 %s != workers=%d's %s", w, tag, sum, goldenWorkers, golden[tag])
 			}
 		}
+	}
+}
+
+// TestResultStoreGCUnitPacks pins the unit tier's GC liveness: a pack
+// stays while any unit ref names it and is reclaimed once every one of
+// its refs moved to a newer pack; a legacy per-unit oras artifact is
+// dropped tag and all, and is never looked up in the first place.
+func TestResultStoreGCUnitPacks(t *testing.T) {
+	t.Parallel()
+	rs, mem := quietStore(t)
+	spec := &StudySpec{Seed: 771009, Envs: []string{"onprem-a-cpu"}, Apps: []string{"stream", "osu"}}
+	st, _ := storedStudy(t, spec, rs)
+	if _, err := st.RunFull(); err != nil {
+		t.Fatal(err)
+	}
+	env, err := apps.EnvByKey("onprem-a-cpu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamKey := UnitKey(771009, env, "stream", Iterations, nil)
+	osuKey := UnitKey(771009, env, "osu", Iterations, nil)
+	first := fetchPackUnit(t, rs, streamKey)
+
+	// A legacy one-artifact-per-unit tag under another key: three blobs
+	// (two layers and a manifest) that only its tag keeps alive.
+	legacy := UnitKey(771010, env, "stream", Iterations, nil)
+	if _, err := rs.Registry().Push("unit/"+legacy, "application/vnd.cloudhpc.unit.draws.v1",
+		map[string][]byte{"unit.json": []byte(`{"version":2}`), "runs.jsonl": []byte("{}\n")}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if removed, err := rs.GC(); err != nil || removed != 3 {
+		t.Fatalf("gc removed %d (err %v), want the legacy artifact's 3 blobs", removed, err)
+	}
+	if !mem.Has(first.digest) {
+		t.Fatal("gc swept a pack its unit refs still name")
+	}
+
+	// Move one ref to a new pack: the first pack is still named by the
+	// other unit and survives; moving the second ref frees it.
+	osu := fetchPackUnit(t, rs, osuKey)
+	sec, err := dataset.MarshalUnitSection(osu.meta, osu.recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pack, err := dataset.MarshalUnitPack(map[string][]byte{osuKey: sec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.Registry().PutRefs(pack, []string{unitRefPrefix + osuKey}); err != nil {
+		t.Fatal(err)
+	}
+	if removed, err := rs.GC(); err != nil || removed != 0 || !mem.Has(first.digest) {
+		t.Fatalf("gc with the pack still named: removed %d, err %v", removed, err)
+	}
+	if err := rs.Registry().Backend().DeleteRef(unitRefPrefix + streamKey); err != nil {
+		t.Fatal(err)
+	}
+	if removed, err := rs.GC(); err != nil || removed != 1 || mem.Has(first.digest) {
+		t.Fatalf("gc of an unnamed pack: removed %d, err %v", removed, err)
+	}
+
+	// The moved unit still serves; the legacy key is a plain miss.
+	before := rs.Stats()
+	stB, _ := storedStudy(t, &StudySpec{Seed: 771009, Envs: []string{"onprem-a-cpu"}, Apps: []string{"osu"}}, rs)
+	if _, err := stB.RunFull(); err != nil {
+		t.Fatal(err)
+	}
+	if s := rs.Stats(); s.UnitHits-before.UnitHits != 1 || s.CorruptFallbacks != before.CorruptFallbacks {
+		t.Fatalf("moved unit not served from its new pack: %+v -> %+v", before, s)
 	}
 }

@@ -58,13 +58,14 @@ type shard struct {
 	// is drawPlanned, indexed like models.
 	mode    drawMode
 	planned []*unitPlan
-	// store, when non-nil, serves and receives unit plans (drawPlanned
-	// mode only); computes counts the units this shard actually computed,
-	// shared with the parent study's probe. logf overrides the store's
-	// own warning logger when the study injected one.
-	store    *ResultStore
+	// units, when non-nil, is the study's unit tier, which serves and
+	// receives unit plans (drawPlanned mode with a store only), and
+	// unitKeys holds each model's sub-hash, indexed like models; both are
+	// set by Study.openUnits. computes counts the units this shard
+	// actually computed, shared with the parent study's probe.
+	units    *unitTier
+	unitKeys []string
 	computes *atomic.Int64
-	logf     func(format string, args ...any)
 
 	// runStreams caches the per-application draw streams (and legacyStream
 	// the shared pre-spec stream) so the inner loop stops re-deriving
@@ -160,9 +161,7 @@ func (st *Study) newShard(spec apps.EnvSpec) *shard {
 	log.Reserve(len(spec.Scales)*(len(st.Models)*st.Iterations*6+48) + 32)
 	if mode == drawPlanned {
 		sh.planned = make([]*unitPlan, len(sh.models))
-		sh.store = st.Store
 		sh.computes = &st.unitComputes
-		sh.logf = st.Logf
 	}
 	return sh
 }

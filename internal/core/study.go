@@ -46,12 +46,13 @@ type Study struct {
 	// Store, when non-nil, is the persistent result store consulted for
 	// (env, app) unit reuse during RunFull: units whose sub-hash is
 	// already stored are decoded instead of recomputed, and computed
-	// units are stored for the next study. Defaults to the process-wide
-	// store (SetDefaultResultStore); ignored under LegacyRunStreams (a
-	// shared sequential stream has no independently addressable units).
+	// units are stored, as one unit pack, for the next study. Defaults
+	// to the process-wide store (SetDefaultResultStore); ignored under
+	// LegacyRunStreams (a shared sequential stream has no independently
+	// addressable units).
 	Store *ResultStore
 	// Logf, when non-nil, receives the store/persist warnings this
-	// study's execution raises (corrupt unit artifacts, failed saves)
+	// study's execution raises (unreadable unit packs, failed writes)
 	// instead of the store's own logger. Runner plumbs its injected
 	// logger through here; nil keeps the store default.
 	Logf func(format string, args ...any)
@@ -240,6 +241,7 @@ func (st *Study) runSession(ctx context.Context, sess *Session) (*Results, error
 		shards[i].ctx = ctx
 		shards[i].sess = sess
 	}
+	units := st.openUnits(shards)
 
 	// Build the task list. Tasks may enqueue follow-up tasks (a shard's
 	// last unit enqueues its assembly), so the queue is buffered for the
@@ -315,12 +317,13 @@ func (st *Study) runSession(ctx context.Context, sess *Session) (*Results, error
 	pending.Wait()
 	close(queue)
 	pool.Wait()
+	units.flush() // one pack for every unit this run computed, cancelled or not
 
 	if err := ctx.Err(); err != nil {
 		// Cancelled: the pool has drained, partial shard state is
 		// discarded unmerged (the study substrates were never touched),
-		// and any unit artifacts already stored are complete — the store
-		// only ever sees atomic whole-artifact writes.
+		// and the units computed before the cancel are stored whole — the
+		// store only ever sees an atomic pack write followed by its refs.
 		return nil, err
 	}
 	return st.merge(shards) // hierarchical merge level 2: environments → study

@@ -106,6 +106,19 @@ func itersFor(spec apps.EnvSpec, nodes int, app string, base int) int {
 	return base
 }
 
+// unitRuns is the number of runs one (env, app) unit plans: every
+// iteration of every scale the environment can deploy.
+func unitRuns(spec apps.EnvSpec, app string, iterations int) int {
+	maxNodes := apps.MaxNodesFor(spec)
+	total := 0
+	for _, nodes := range spec.Scales {
+		if nodes <= maxNodes {
+			total += itersFor(spec, nodes, app, iterations)
+		}
+	}
+	return total
+}
+
 // planUnit computes the planned runs of one (env, app) unit. It draws
 // from the stream runStreamName(spec.Key, m.Name()) of a private
 // simulation seeded with the study's root seed, visiting the
@@ -115,15 +128,8 @@ func itersFor(spec apps.EnvSpec, nodes int, app string, base int) int {
 func planUnit(seed uint64, spec apps.EnvSpec, m apps.Model, iterations int, hookup *network.HookupModel) *unitPlan {
 	sm := sim.New(seed)
 	rng := sm.Stream(runStreamName(spec.Key, m.Name()))
-	u := &unitPlan{}
+	u := &unitPlan{runs: make([]plannedRun, 0, unitRuns(spec, m.Name(), iterations))}
 	maxNodes := apps.MaxNodesFor(spec)
-	total := 0
-	for _, nodes := range spec.Scales {
-		if nodes <= maxNodes {
-			total += itersFor(spec, nodes, m.Name(), iterations)
-		}
-	}
-	u.runs = make([]plannedRun, 0, total)
 	for _, nodes := range spec.Scales {
 		if nodes > maxNodes {
 			continue // the assembly skips this scale; no draws happen
@@ -157,32 +163,30 @@ const (
 )
 
 // ensureUnit makes one (env, app) unit's planned draws available, in
-// tier order: already filled (no-op), decoded from the persistent result
-// store (a unit whose sub-hash was stored by any earlier study — the
-// incremental-execution path), or computed on the calling worker and
-// stored for the next study. It reports the serving tier. Units of the
-// same shard may run concurrently: each owns a private simulation, and
-// each writes only its own planned-run slot.
+// tier order: already filled (no-op), decoded from a unit pack in the
+// persistent result store (a unit whose sub-hash was stored by any
+// earlier study — the incremental-execution path), or computed on the
+// calling worker and queued for this study's pack. It reports the
+// serving tier. Units of the same shard may run concurrently: each owns
+// a private simulation, and each writes only its own planned-run slot.
 func (sh *shard) ensureUnit(appIdx int) unitSource {
 	if sh.planned[appIdx] != nil {
 		return unitFilled
 	}
 	m := sh.models[appIdx]
-	var key string
-	if sh.store != nil {
-		key = UnitKey(sh.sim.Seed(), sh.spec, m.Name(), sh.iterations, sh.opts.Chaos)
-		if u, ok := sh.store.loadUnit(key, sh.spec, m.Name(), sh.iterations, sh.logf); ok {
+	if sh.units != nil {
+		if u, ok := sh.units.load(sh.unitKeys[appIdx], sh.spec, m.Name(), sh.iterations); ok {
 			sh.planned[appIdx] = u
 			return unitFromStore
 		}
 	}
 	sh.computes.Add(1)
 	u := planUnit(sh.sim.Seed(), sh.spec, m, sh.iterations, sh.hookup)
-	if sh.store != nil {
-		sh.store.saveUnit(dataset.UnitMeta{
-			Version: storeSchemaVersion, Key: key, Seed: sh.sim.Seed(),
+	if sh.units != nil {
+		sh.units.add(dataset.UnitMeta{
+			Version: storeSchemaVersion, Key: sh.unitKeys[appIdx], Seed: sh.sim.Seed(),
 			Env: sh.spec.Key, App: m.Name(), Iterations: sh.iterations,
-		}, u, sh.logf)
+		}, u)
 	}
 	sh.planned[appIdx] = u
 	return unitComputed

@@ -9,11 +9,11 @@
 // conversions between live core.RunRecord values and archived Records
 // live in package core (Results.Records, RunRecord.Record), which lets
 // core's persistent result store reuse these same wire forms — runs,
-// per-unit draw records, unit metadata — without an import cycle.
+// and the unit pack of per-unit draw records (pack.go) — without an
+// import cycle.
 package dataset
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -54,90 +54,10 @@ func UnmarshalJSONL(data []byte) ([]Record, error) {
 const (
 	// ArtifactType marks study result datasets.
 	ArtifactType = "application/vnd.cloudhpc.study.results.v1"
-	// UnitArtifactType marks one (env, app) unit's precomputed model and
-	// hookup draws — the incremental-execution quantum of the persistent
-	// result store.
-	UnitArtifactType = "application/vnd.cloudhpc.unit.draws.v1"
 	// StudyBundleType marks a complete serialized study dataset (runs,
 	// trace, billing charges, audits) in the persistent result store.
 	StudyBundleType = "application/vnd.cloudhpc.study.bundle.v1"
 )
-
-// UnitMeta is the per-unit metadata of a stored (env, app) unit artifact
-// ("unit.json" alongside "runs.jsonl"): the sub-hash key the unit is
-// stored under, and the inputs that key covers, so a unit artifact is
-// self-describing without the spec that produced it.
-type UnitMeta struct {
-	Version    int    `json:"version"`
-	Key        string `json:"key"`
-	Seed       uint64 `json:"seed"`
-	Env        string `json:"env"`
-	App        string `json:"app"`
-	Iterations int    `json:"iterations"`
-	Records    int    `json:"records"`
-}
-
-// MarshalUnit encodes a unit artifact's files: the metadata and the draw
-// records.
-func MarshalUnit(meta UnitMeta, recs []Record) (map[string][]byte, error) {
-	meta.Records = len(recs)
-	mj, err := json.Marshal(meta)
-	if err != nil {
-		return nil, err
-	}
-	rj, err := MarshalJSONL(recs)
-	if err != nil {
-		return nil, err
-	}
-	return map[string][]byte{"unit.json": mj, "runs.jsonl": rj}, nil
-}
-
-// UnitCursor decodes a unit artifact's metadata and returns a streaming
-// cursor over its draw records, so a consumer can validate and convert
-// each record in a single pass instead of materializing the full record
-// slice first. The metadata's record count is not pre-validated here —
-// the cursor has not seen the records yet; callers confirm it as they
-// drain (UnmarshalUnit does exactly that).
-func UnitCursor(files map[string][]byte) (UnitMeta, *jsonl.Decoder[Record], error) {
-	var meta UnitMeta
-	mj, ok := files["unit.json"]
-	if !ok {
-		return meta, nil, fmt.Errorf("dataset: unit artifact has no unit.json")
-	}
-	if err := json.Unmarshal(mj, &meta); err != nil {
-		return meta, nil, fmt.Errorf("dataset: unit.json: %w", err)
-	}
-	rj, ok := files["runs.jsonl"]
-	if !ok {
-		return meta, nil, fmt.Errorf("dataset: unit artifact has no runs.jsonl")
-	}
-	return meta, jsonl.NewDecoder[Record]("dataset", rj), nil
-}
-
-// UnmarshalUnit decodes a unit artifact's files, validating the record
-// count against the metadata.
-func UnmarshalUnit(files map[string][]byte) (UnitMeta, []Record, error) {
-	meta, cur, err := UnitCursor(files)
-	if err != nil {
-		return meta, nil, err
-	}
-	recs := make([]Record, 0, meta.Records)
-	for {
-		rec, ok, err := cur.Next()
-		if err != nil {
-			return meta, nil, err
-		}
-		if !ok {
-			break
-		}
-		recs = append(recs, rec)
-	}
-	if len(recs) != meta.Records {
-		return meta, nil, fmt.Errorf("dataset: unit %s/%s holds %d records, metadata says %d",
-			meta.Env, meta.App, len(recs), meta.Records)
-	}
-	return meta, recs, nil
-}
 
 // Push archives run records into the registry, one artifact per
 // (environment, application), tagged "results/<env>/<app>". Artifacts

@@ -177,36 +177,6 @@ func TestPushInsertionOrderDeterministic(t *testing.T) {
 	}
 }
 
-func TestUnitArtifactRoundTrip(t *testing.T) {
-	t.Parallel()
-	meta := dataset.UnitMeta{Version: 1, Key: "abc123", Seed: 2025, Env: "aws-eks-cpu", App: "lammps", Iterations: 5}
-	recs := []dataset.Record{
-		{Env: "aws-eks-cpu", App: "lammps", Nodes: 32, Iter: 0, FOM: 3.5, Unit: "M-atom steps/s", Wall: time.Minute, Hookup: 9 * time.Second},
-		{Env: "aws-eks-cpu", App: "lammps", Nodes: 32, Iter: 1, FOM: 3.6, Unit: "M-atom steps/s", Wall: time.Minute, Hookup: 9 * time.Second},
-	}
-	files, err := dataset.MarshalUnit(meta, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotMeta, gotRecs, err := dataset.UnmarshalUnit(files)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta.Records = 2
-	if gotMeta != meta || !reflect.DeepEqual(gotRecs, recs) {
-		t.Fatalf("round trip drifted: %+v %+v", gotMeta, gotRecs)
-	}
-
-	// Tampered record count must be detected.
-	files["unit.json"] = []byte(strings.Replace(string(files["unit.json"]), `"records":2`, `"records":3`, 1))
-	if _, _, err := dataset.UnmarshalUnit(files); err == nil {
-		t.Fatal("record-count mismatch accepted")
-	}
-	if _, _, err := dataset.UnmarshalUnit(map[string][]byte{"runs.jsonl": nil}); err == nil {
-		t.Fatal("missing unit.json accepted")
-	}
-}
-
 func TestFullStudyArchives(t *testing.T) {
 	t.Parallel()
 	st, err := core.New(99)

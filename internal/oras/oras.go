@@ -326,6 +326,29 @@ func (r *Registry) IngestBlob(data []byte) (digest string, release func(), err e
 	return d, r.Pin(d), nil
 }
 
+// PutRefs stores one blob and points every given backend ref name at it
+// in one ref batch. Put and SetRefs run under the registry's shared
+// lock, so a GC sweep can never land between the blob's arrival and the
+// refs that keep it live — the same protection Push gives a manifest
+// and its tag. The names are raw backend refs, outside the oras/
+// prefixes.
+func (r *Registry) PutRefs(data []byte, names []string) (Digest, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	d, err := r.blobs.Put(data)
+	if err != nil {
+		return "", err
+	}
+	refs := make(map[string]string, len(names))
+	for _, n := range names {
+		refs[n] = d
+	}
+	if err := r.blobs.SetRefs(refs); err != nil {
+		return "", err
+	}
+	return Digest(d), nil
+}
+
 // ReconcileRefs applies a sync ref batch last-writer-wins, skipping any
 // name whose target blob the backend does not hold — a ref must never
 // outrun its content. It runs under the registry's shared lock, so the

@@ -400,3 +400,30 @@ func TestReconcileRefsSkipsMissingTargets(t *testing.T) {
 		t.Fatal("dangling ref applied")
 	}
 }
+
+// TestPutRefsAnchorsBlob: PutRefs stores the blob and points every name
+// at it in one step, and the refs keep it live through GC (they are
+// outside the tag namespace, so only their being refs protects it).
+func TestPutRefsAnchorsBlob(t *testing.T) {
+	t.Parallel()
+	bs := store.NewMemory()
+	r := NewRegistryWith(bs)
+	d, err := r.PutRefs([]byte("one pack"), []string{"unit/a", "unit/b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d != DigestOf([]byte("one pack")) {
+		t.Fatalf("digest %s", d)
+	}
+	for _, name := range []string{"unit/a", "unit/b"} {
+		if got, ok := bs.Ref(name); !ok || got != string(d) {
+			t.Fatalf("ref %s = %q, %v", name, got, ok)
+		}
+	}
+	if removed, err := r.GC(); err != nil || removed != 0 || !bs.Has(string(d)) {
+		t.Fatalf("gc swept a ref-anchored blob: removed=%d err=%v", removed, err)
+	}
+	if got := r.Tags(); len(got) != 0 {
+		t.Fatalf("PutRefs created tags %v", got)
+	}
+}

@@ -111,9 +111,11 @@ func FuzzFleetDecode(f *testing.F) {
 		srv.Shutdown()
 
 		// No fuzzed line can plant a unit ref: no real unit was ever
-		// computed here, so the ref table must hold no unit tags.
+		// computed here, so the ref table must hold no "unit/" refs —
+		// the namespace a real study's units land in, which
+		// TestHealthReportsStoreFallbacks pins.
 		for name := range rs.Registry().SyncInventory().Refs {
-			if strings.HasPrefix(name, "oras/tag/unit/") {
+			if strings.HasPrefix(name, "unit/") {
 				t.Fatalf("fuzzed input planted a unit ref %q", name)
 			}
 		}

@@ -14,11 +14,12 @@ package store
 //
 // Blobs are immutable and self-verifying, so blob "conflicts" cannot
 // exist: two stores holding the same digest hold the same bytes. Refs
-// are derived names ("study/<spec-hash>", "unit/<sub-hash>" behind the
-// oras prefixes): identical keys always name identical content, so
-// last-writer-wins is a formality — a genuine divergence under one name
-// means one side predates a deliberate schema bump, and the incoming
-// value simply wins.
+// are derived names ("study/<spec-hash>" behind the oras prefixes,
+// "unit/<sub-hash>" naming a unit pack): identical keys always name
+// identical content — for a unit, possibly inside different packs that
+// hold the same section bytes for it — so last-writer-wins is a
+// formality. A genuine divergence under one name means one side
+// predates a deliberate schema bump, and the incoming value simply wins.
 //
 // The remote half of an exchange is the Peer interface: four verbs that
 // Local satisfies in-process and internal/rpc's StorePeer carries over
